@@ -35,12 +35,13 @@ Two clocks are involved, deliberately decoupled:
   what ``run_gemm`` would report on the hosting worker's class.  The
   schedule is therefore deterministic: it depends only on the trace, the
   fleet and the policies — never on host thread timing.
-* **Host wall clock** — the numerics (the actual matrices) execute through
-  a thread-pool executor, one submission per scheduled batch, so
-  independent batches overlap on the host (streamed batches start executing
-  the moment their dispatch is final, before ``drain()`` is even called).
-  Same-shape batches run as one stacked ``np.matmul`` with the tile-group
-  accounting computed once for the whole batch (verified at import against
+* **Host wall clock** — the numerics (the actual matrices) execute on one
+  thread pool per stream, one submission per scheduled batch, launched the
+  moment the batch seals (its dispatch is final), so independent batches
+  overlap on the host and with planning — under ``serve()`` exactly as
+  under ``submit()``, before ``drain()`` is even called.  Same-shape
+  batches run as one stacked ``np.matmul`` with the tile-group accounting
+  computed once for the whole batch (verified at import against
   per-slice BLAS — the outputs stay bit-exact with direct ``run_gemm``;
   see :func:`stacked_matmul_is_bitexact`), which is where the serial
   per-job Python overhead is amortized away.
@@ -59,7 +60,7 @@ import dataclasses
 import heapq
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
 
@@ -363,6 +364,9 @@ class _OnlinePlanner:
         # the seal, so a preemption never races an execution.
         self.sealed: list[bool] = []
         self._unsealed: list[int] = []
+        # Launch queue: indices of batches sealed since the executor last
+        # consumed it (``AsyncGemmScheduler._launch_planned``), in seal order.
+        self.launch: list[int] = []
         self.terminal: list[JobResult] = []
         self.tenants: set[str] = set()
         self.seen_ids: set[str] = set()
@@ -573,10 +577,11 @@ class _OnlinePlanner:
             )
 
     def _seal(self, index: int) -> None:
-        """Mark one batch beyond preemption's reach and emit its close."""
+        """Mark one batch uncuttable, queue its launch and emit its close."""
         if self.sealed[index]:
             return
         self.sealed[index] = True
+        self.launch.append(index)
         self._emit_batch_close(self.batches[index])
 
     def _seal_ready(self) -> None:
@@ -1210,20 +1215,28 @@ class _OnlinePlanner:
 
 @dataclass
 class _StreamState:
-    """One open ``submit()`` stream: its planner and eager executions.
+    """One stream (``submit()``/``drain()`` or a whole ``serve()``).
 
-    ``futures`` is slot-per-batch: a ``None`` slot is a planned batch
-    whose numerics have not launched yet (it is still preemptible); the
-    slot is filled the moment the batch seals.
+    Holds the planner, the numerics pool and the eager executions.
+    ``futures`` maps a batch index to its running numerics.  The planner
+    queues each batch's index on ``planner.launch`` the moment it seals,
+    and ``_launch_planned`` consumes that queue.  A batch missing from
+    ``futures`` is unsealed: preemption could still cut it, so it has not
+    launched yet.
     """
 
     planner: _OnlinePlanner
     pool: ThreadPoolExecutor
-    futures: list = field(default_factory=list)
+    futures: dict[int, Future] = field(default_factory=dict)
     wall_start: float = 0.0
     cache_before: object = None
     groups_before: object = None
     disk_before: object = None
+
+    def shutdown(self) -> None:
+        """Detach the planner from the estimate cache and join the pool."""
+        self.planner._restore_cache_observer()
+        self.pool.shutdown(wait=True)
 
 
 class AsyncGemmScheduler:
@@ -1512,26 +1525,27 @@ class AsyncGemmScheduler:
         return self._stream
 
     def _launch_planned(self, stream: _StreamState) -> None:
-        """Start executing every newly *sealed* batch's numerics.
+        """Start executing the numerics of every batch sealed since the last call.
 
-        Only the executed prefix of a fault- or preempt-cut batch runs —
+        Consumes the planner's launch queue (``planner.launch``, filled by
+        ``_seal`` in seal order), so each call's work is proportional to
+        the newly sealed batches, not to every batch planned so far.  Only
+        the executed prefix of a fault- or preempt-cut batch runs —
         interrupted jobs never touch the numerics pool (they requeue and
         execute, bit-exact, on a later dispatch instead).  An unsealed
-        batch holds a ``None`` slot: preemption could still cut its
-        suffix, so its numerics wait for the seal (``drain()`` only joins
-        after ``finish()`` sealed everything).
+        batch is not queued yet: preemption could still cut its suffix, so
+        its numerics wait for the seal (``finish()`` seals everything
+        before a stream closes).
         """
         planner = stream.planner
-        while len(stream.futures) < len(planner.batches):
-            stream.futures.append(None)
-        for index, sealed in enumerate(planner.sealed):
-            if sealed and stream.futures[index] is None:
-                batch = planner.batches[index]
-                stream.futures[index] = stream.pool.submit(
-                    run_batch,
-                    self.fleet[batch.worker_id],
-                    [entry.job for entry in batch.executed],
-                )
+        for index in planner.launch:
+            batch = planner.batches[index]
+            stream.futures[index] = stream.pool.submit(
+                run_batch,
+                self.fleet[batch.worker_id],
+                [entry.job for entry in batch.executed],
+            )
+        planner.launch.clear()
 
     def submit(self, job: AnyJob) -> None:
         """Feed one job into the open stream (opening it if needed).
@@ -1598,36 +1612,27 @@ class AsyncGemmScheduler:
         afterwards.  Draining an unopened stream returns an empty report.
         """
         with self._lock:
-            # Pop the stream atomically; once detached it belongs to this
+            # Detach the stream (an empty one if nothing was submitted —
+            # its pool starts no threads); once detached it belongs to this
             # call alone, so the flush/await below can run off-lock.
-            stream = self._stream
+            stream = self._open_stream()
             self._stream = None
-        if stream is None:
-            # Nothing was submitted: report an empty run without spinning
-            # up (and immediately tearing down) an executor pool.
-            planner = _OnlinePlanner(self)
-            groups_before = estimate_cache_group_info()
-            cache_before = estimate_cache_info()
-            disk_before = estimate_cache_disk_info()
-            batches, terminal, ledgers = planner.finish()
-            return self._assemble(
-                batches,
-                terminal,
-                ledgers,
-                [],
-                tenants=planner.tenants,
-                wall_seconds=0.0,
-                cache_before=cache_before,
-                groups_before=groups_before,
-                disk_before=disk_before,
-            )
+        return self._close(stream)
+
+    async def drain_async(self) -> tuple[ServeReport, list[JobResult]]:
+        """Async wrapper around :meth:`drain` (the wait runs off-loop)."""
+        return await asyncio.get_running_loop().run_in_executor(None, self.drain)
+
+    def _close(self, stream: _StreamState) -> tuple[ServeReport, list[JobResult]]:
+        """Finish a detached stream's plan, await every batch, assemble."""
         try:
             batches, terminal, ledgers = stream.planner.finish()
             self._launch_planned(stream)
-            batch_runs = [future.result() for future in stream.futures]
+            batch_runs = [
+                stream.futures[index].result() for index in range(len(batches))
+            ]
         finally:
-            stream.planner._restore_cache_observer()
-            stream.pool.shutdown(wait=True)
+            stream.shutdown()
         return self._assemble(
             batches,
             terminal,
@@ -1640,71 +1645,42 @@ class AsyncGemmScheduler:
             disk_before=stream.disk_before,
         )
 
-    async def drain_async(self) -> tuple[ServeReport, list[JobResult]]:
-        """Async wrapper around :meth:`drain` (the wait runs off-loop)."""
-        return await asyncio.get_running_loop().run_in_executor(None, self.drain)
-
     # -- one-shot API -------------------------------------------------------
+
+    def serve(self, jobs: Sequence[AnyJob]) -> tuple[ServeReport, list[JobResult]]:
+        """Serve a whole trace: submit every job in arrival order, then drain.
+
+        The jobs are offered in ``(arrival_cycle, job_id)`` order to a
+        stream of this call's own, which then closes through the same code
+        as :meth:`drain` — so one-shot and streamed serving produce
+        bit-identical schedules and results by construction.  Returns the
+        aggregate :class:`ServeReport` and one :class:`JobResult` per
+        submitted job (rejected jobs included), sorted by ``job_id``.
+        """
+        with self._lock:
+            if self._stream is not None:
+                raise RuntimeError(
+                    "a submit() stream is open; drain() it before calling serve()"
+                )
+            # Detach the new stream at once: a concurrent submit() waits
+            # for the lock and then opens a stream of its own instead of
+            # landing in this trace.
+            stream = self._open_stream()
+            self._stream = None
+            try:
+                for job in sorted(jobs, key=lambda j: (j.arrival_cycle, j.job_id)):
+                    stream.planner.offer(job)
+                    self._launch_planned(stream)
+            except BaseException:
+                stream.shutdown()
+                raise
+        return self._close(stream)
 
     async def serve_async(
         self, jobs: Sequence[AnyJob]
     ) -> tuple[ServeReport, list[JobResult]]:
-        """Serve a whole trace: plan on the simulated clock, execute concurrently.
-
-        Equivalent to submitting every job in ``(arrival_cycle, job_id)``
-        order and draining — the plan comes from the same online planner,
-        so one-shot and streamed serving produce bit-identical schedules
-        and results.  Returns the aggregate :class:`ServeReport` and one
-        :class:`JobResult` per submitted job (rejected jobs included),
-        sorted by ``job_id``.
-        """
-        with self._lock:
-            stream_open = self._stream is not None
-        if stream_open:
-            raise RuntimeError(
-                "a submit() stream is open; drain() it before calling serve()"
-            )
-        wall_start = time.perf_counter()
-        planner = _OnlinePlanner(self)
-        cache_before = estimate_cache_info()
-        groups_before = estimate_cache_group_info()
-        disk_before = estimate_cache_disk_info()
-        try:
-            for job in sorted(jobs, key=lambda job: (job.arrival_cycle, job.job_id)):
-                planner.offer(job)
-            batches, terminal, ledgers = planner.finish()
-        finally:
-            planner._restore_cache_observer()
-
-        loop = asyncio.get_running_loop()
-        pool_size = max(1, len(self.fleet))
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            futures = [
-                loop.run_in_executor(
-                    pool,
-                    run_batch,
-                    self.fleet[batch.worker_id],
-                    [entry.job for entry in batch.executed],
-                )
-                for batch in batches
-            ]
-            batch_runs = await asyncio.gather(*futures)
-
-        return self._assemble(
-            batches,
-            terminal,
-            ledgers,
-            batch_runs,
-            tenants=planner.tenants,
-            wall_seconds=time.perf_counter() - wall_start,
-            cache_before=cache_before,
-            groups_before=groups_before,
-            disk_before=disk_before,
-        )
-
-    def serve(self, jobs: Sequence[AnyJob]) -> tuple[ServeReport, list[JobResult]]:
-        """Synchronous wrapper around :meth:`serve_async`."""
-        return asyncio.run(self.serve_async(jobs))
+        """Async wrapper around :meth:`serve` (the run happens off-loop)."""
+        return await asyncio.get_running_loop().run_in_executor(None, self.serve, jobs)
 
     # -- result assembly ----------------------------------------------------
 
