@@ -1,16 +1,17 @@
-"""Observability for the serving stack: tracing, metrics, bench regression.
+"""Observability for the serving stack: tracing, trace analysis, benchmarks.
 
-Three deterministic building blocks, all keyed to the *simulated* clock so
+Deterministic building blocks, all keyed to the *simulated* clock so
 observing a run never perturbs (or varies with) wall time:
 
 * :mod:`repro.obs.tracer` — :class:`Tracer` records structured span /
   instant / counter events emitted by the scheduler, queues, fault layer,
   and estimate cache; ``tracer=None`` keeps the hot path at ~zero cost.
   Exports land in Chrome-trace/Perfetto JSON or JSONL
-  (:mod:`repro.obs.export`) and reduce to queue-depth / batch-occupancy /
-  per-tenant breakdowns (:mod:`repro.obs.summary`).
-* :mod:`repro.obs.metrics` — a tiny counter/gauge/histogram registry with
-  exact integer bins; ``ServeReport.to_dict()`` embeds its stable output.
+  (:mod:`repro.obs.export`).
+* :mod:`repro.obs.summary` — the one fold over terminal job outcomes that
+  both ``ServeReport`` (including its ``metrics()`` section) and
+  ``repro trace summarize`` derive their statistics from, plus the trace
+  summary's queue-depth / batch-occupancy / per-tenant views.
 * :mod:`repro.obs.bench` — the shared benchmark-artifact schema and the
   ``repro bench compare`` regression comparator CI runs across PRs.
 
@@ -45,7 +46,6 @@ from repro.obs.export import (
     write_jsonl_trace,
     write_trace,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.summary import format_trace_summary, summarize_trace
 from repro.obs.tracer import (
     WALL_CATEGORY,
@@ -55,12 +55,8 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "Counter",
     "FailOn",
-    "Gauge",
-    "Histogram",
     "MetricDelta",
-    "MetricsRegistry",
     "SCHEMA_KEYS",
     "SCHEMA_VERSION",
     "TraceEvent",

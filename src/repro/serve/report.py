@@ -14,12 +14,14 @@ artifact is self-describing.  Everything is JSON-serializable
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from repro.analysis.latency import LatencySummary, summarize_latencies
+from repro.analysis.latency import LatencySummary
 from repro.analysis.reports import format_table
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.summary import OutcomeTally, batch_occupancy, rate, tally
 from repro.serve.job import (
     SLO_CLASSES,
     STATUS_CANCELLED,
@@ -123,8 +125,7 @@ class CacheClassStats:
     @property
     def hit_rate(self) -> float:
         """Hit share of this class's counted lookups (0.0 when none)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
+        return rate(self.hits, self.hits + self.misses)
 
     def to_dict(self) -> dict:
         return {
@@ -162,9 +163,7 @@ class SloClassStats:
     @property
     def deadline_hit_rate(self) -> float:
         """Met share of the class's eligible jobs (0.0 when none)."""
-        if not self.deadline_eligible:
-            return 0.0
-        return self.deadline_met / self.deadline_eligible
+        return rate(self.deadline_met, self.deadline_eligible)
 
     def to_dict(self) -> dict:
         return {
@@ -320,8 +319,7 @@ class ServeReport:
     @property
     def cache_hit_rate(self) -> float:
         """Estimate-cache hit rate over this run's admissions/planning."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
+        return rate(self.cache_hits, self.cache_hits + self.cache_misses)
 
     @property
     def mean_worker_utilization(self) -> float:
@@ -338,7 +336,7 @@ class ServeReport:
         """
         if not self.deadline_eligible:
             return None
-        return self.deadline_met / self.deadline_eligible
+        return rate(self.deadline_met, self.deadline_eligible)
 
     @property
     def deadline_hit_rate(self) -> float:
@@ -348,35 +346,34 @@ class ServeReport:
         need a number for every run, so the undefined case collapses to
         0.0 instead of None.
         """
-        if not self.deadline_eligible:
-            return 0.0
-        return self.deadline_met / self.deadline_eligible
+        return rate(self.deadline_met, self.deadline_eligible)
 
-    def metrics(self) -> MetricsRegistry:
-        """The run as a stable metrics registry (simulated quantities only).
+    def metrics(self) -> dict[str, Any]:
+        """The run's stable ``counters`` / ``gauges`` / ``histograms`` section.
 
-        Counter/gauge/histogram names are fixed and key-sorted in the
-        registry's ``to_dict()``, which is what ``repro bench compare``
-        diffs across PRs.  Wall-clock time is deliberately excluded — the
-        registry carries only simulated-clock quantities, so the metrics
-        of two same-seed runs on different machines are identical except
-        for cache counters (which depend on the process-wide estimate
-        cache's starting state).
+        Names are fixed and key-sorted, which is what ``repro bench
+        compare`` diffs across PRs.  Only simulated-clock quantities
+        appear — never wall time — so the metrics of two same-seed runs on
+        different machines are identical except for cache counters (which
+        depend on the process-wide estimate cache's starting state).  The
+        batch-occupancy histogram has exact integer edges, one per batch
+        size up to ``max_batch``, and a final overflow bin.
 
         >>> report = ServeReport(
-        ...     jobs_submitted=2, jobs_completed=2, jobs_rejected=0,
+        ...     jobs_submitted=3, jobs_completed=3, jobs_rejected=0,
         ...     batches=2, batched_jobs=0, max_batch=2, fleet_size=1,
         ...     makespan_cycles=100, clock_hz=1e9, wall_seconds=0.1,
         ...     cache_hits=3, cache_misses=1, tenants=(), workers=(),
-        ...     batch_occupancy=((1, 2),))
-        >>> registry = report.metrics().to_dict()
-        >>> registry["counters"]["serve.jobs.completed"]
-        2
-        >>> registry["histograms"]["serve.batch_occupancy"]["counts"][0]
-        2
+        ...     batch_occupancy=((1, 2), (3, 1)))
+        >>> metrics = report.metrics()
+        >>> metrics["counters"]["serve.jobs.completed"]
+        3
+        >>> metrics["histograms"]["serve.batch_occupancy"]
+        {'edges': [1, 2], 'counts': [2, 0, 1], 'total': 3}
+        >>> list(metrics["gauges"]) == sorted(metrics["gauges"])
+        True
         """
-        registry = MetricsRegistry()
-        counts = {
+        counters = {
             "serve.jobs.submitted": self.jobs_submitted,
             "serve.jobs.completed": self.jobs_completed,
             "serve.jobs.rejected": self.jobs_rejected,
@@ -398,48 +395,47 @@ class ServeReport:
             "serve.cache.disk_misses": self.cache_disk_misses,
             "serve.cache.disk_skips": self.cache_disk_skips,
         }
-        for name, value in counts.items():
-            registry.counter(name).add(value)
-        registry.gauge("serve.jobs_per_second").set(self.jobs_per_second)
-        registry.gauge("serve.cache.hit_rate").set(self.cache_hit_rate)
-        registry.gauge("serve.utilization.mean").set(self.mean_worker_utilization)
-        registry.gauge("serve.deadline_hit_rate").set(self.deadline_hit_rate)
+        gauges = {
+            "serve.jobs_per_second": self.jobs_per_second,
+            "serve.cache.hit_rate": self.cache_hit_rate,
+            "serve.utilization.mean": self.mean_worker_utilization,
+            "serve.deadline_hit_rate": self.deadline_hit_rate,
+        }
         for slo_stats in self.slo_class_stats:
             prefix = f"serve.slo.{slo_stats.slo}"
-            registry.counter(f"{prefix}.deadline.met").add(slo_stats.deadline_met)
-            registry.counter(f"{prefix}.deadline.eligible").add(
-                slo_stats.deadline_eligible
-            )
-            registry.counter(f"{prefix}.preemptions").add(slo_stats.preemptions)
-            registry.gauge(f"{prefix}.deadline_hit_rate").set(
-                slo_stats.deadline_hit_rate
-            )
+            counters[f"{prefix}.deadline.met"] = slo_stats.deadline_met
+            counters[f"{prefix}.deadline.eligible"] = slo_stats.deadline_eligible
+            counters[f"{prefix}.preemptions"] = slo_stats.preemptions
+            gauges[f"{prefix}.deadline_hit_rate"] = slo_stats.deadline_hit_rate
         for tenant in self.tenants:
             prefix = f"serve.tenant.{tenant.tenant}"
-            registry.counter(f"{prefix}.completed").add(tenant.completed)
-            registry.counter(f"{prefix}.lost").add(
+            counters[f"{prefix}.completed"] = tenant.completed
+            counters[f"{prefix}.lost"] = (
                 tenant.failed + tenant.cancelled + tenant.expired + tenant.shed
             )
             if tenant.latency is not None:
-                registry.gauge(f"{prefix}.p50_latency_cycles").set(
-                    tenant.latency.p50
-                )
-                registry.gauge(f"{prefix}.p95_latency_cycles").set(
-                    tenant.latency.p95
-                )
+                gauges[f"{prefix}.p50_latency_cycles"] = tenant.latency.p50
+                gauges[f"{prefix}.p95_latency_cycles"] = tenant.latency.p95
         for stats in self.cache_class_stats:
             prefix = f"serve.cache_class.{stats.worker_class}"
-            registry.counter(f"{prefix}.hits").add(stats.hits)
-            registry.counter(f"{prefix}.misses").add(stats.misses)
-            registry.counter(f"{prefix}.evictions").add(stats.evictions)
-        # Exact integer bins: one per batch size up to the configured cap,
-        # with the implicit overflow bin unused by construction.
-        edges = tuple(range(1, max(1, self.max_batch) + 1))
-        histogram = registry.histogram("serve.batch_occupancy", edges=edges)
+            counters[f"{prefix}.hits"] = stats.hits
+            counters[f"{prefix}.misses"] = stats.misses
+            counters[f"{prefix}.evictions"] = stats.evictions
+        edges = list(range(1, max(1, self.max_batch) + 1))
+        counts = [0] * (len(edges) + 1)
         for size, count in self.batch_occupancy:
-            for _ in range(count):
-                histogram.observe(size)
-        return registry
+            counts[bisect_left(edges, size)] += count
+        return {
+            "counters": dict(sorted(counters.items())),
+            "gauges": dict(sorted(gauges.items())),
+            "histograms": {
+                "serve.batch_occupancy": {
+                    "edges": edges,
+                    "counts": counts,
+                    "total": sum(counts),
+                },
+            },
+        }
 
     def to_dict(self) -> dict:
         return {
@@ -493,7 +489,7 @@ class ServeReport:
             "cache_classes": [
                 stats.to_dict() for stats in self.cache_class_stats
             ],
-            "metrics": self.metrics().to_dict(),
+            "metrics": self.metrics(),
         }
 
 
@@ -503,25 +499,17 @@ def _compile_class_stats(
     makespan: int,
 ) -> tuple[WorkerClassStats, ...]:
     """Roll per-worker counters and per-job latencies up to worker classes."""
-    class_order: list[str] = []
     members: dict[str, list[WorkerStats]] = {}
     for worker in workers:
-        if worker.worker_class not in members:
-            class_order.append(worker.worker_class)
-            members[worker.worker_class] = []
-        members[worker.worker_class].append(worker)
-    by_worker_id = {worker.worker_id: worker.worker_class for worker in workers}
-
-    latencies: dict[str, list[int]] = {label: [] for label in class_order}
-    for result in results:
-        if result.completed and result.worker_id in by_worker_id:
-            latencies[by_worker_id[result.worker_id]].append(result.latency_cycles)
+        members.setdefault(worker.worker_class, []).append(worker)
+    by_worker_id: dict[int | None, str] = {
+        worker.worker_id: worker.worker_class for worker in workers
+    }
+    by_class = tally(results, lambda r: by_worker_id.get(r.worker_id))
 
     stats = []
-    for label in class_order:
-        group = members[label]
+    for label, group in members.items():
         busy = sum(worker.busy_cycles for worker in group)
-        population = latencies[label]
         stats.append(
             WorkerClassStats(
                 worker_class=label,
@@ -529,36 +517,8 @@ def _compile_class_stats(
                 jobs=sum(worker.jobs for worker in group),
                 batches=sum(worker.batches for worker in group),
                 busy_cycles=busy,
-                utilization=(
-                    busy / (len(group) * makespan) if makespan else 0.0
-                ),
-                latency=summarize_latencies(population) if population else None,
-            )
-        )
-    return tuple(stats)
-
-
-def _compile_slo_stats(results: Sequence[JobResult]) -> tuple[SloClassStats, ...]:
-    """Group the deadline outcome by the jobs' SLO class (stable order)."""
-    by_slo: dict[str, list[JobResult]] = {}
-    for result in results:
-        by_slo.setdefault(result.slo, []).append(result)
-    order = [slo for slo in SLO_CLASSES if slo in by_slo]
-    order += sorted(slo for slo in by_slo if slo not in SLO_CLASSES)
-    stats = []
-    for slo in order:
-        entries = by_slo[slo]
-        eligible = [
-            r for r in entries if r.completed and r.deadline_hint_cycles is not None
-        ]
-        stats.append(
-            SloClassStats(
-                slo=slo,
-                submitted=len(entries),
-                completed=sum(1 for r in entries if r.completed),
-                deadline_met=sum(1 for r in eligible if r.deadline_met),
-                deadline_eligible=len(eligible),
-                preemptions=sum(r.preemptions for r in entries),
+                utilization=rate(busy, len(group) * makespan),
+                latency=by_class.get(label, OutcomeTally()).latency,
             )
         )
     return tuple(stats)
@@ -590,93 +550,89 @@ def compile_serve_report(
 ) -> ServeReport:
     """Fold per-job results and worker counters into a :class:`ServeReport`."""
     results = sorted(job_results, key=lambda r: r.job_id)
-
-    def count(entries: Sequence[JobResult], status: str) -> int:
-        return sum(1 for r in entries if r.status == status)
-
     workers = tuple(sorted(workers, key=lambda w: w.worker_id))
     makespan = max(
         (r.finish_cycle for r in results if r.finish_cycle is not None), default=0
     )
     simulated_seconds = makespan / clock_hz if makespan else 0.0
 
-    by_tenant: dict[str, list[JobResult]] = {}
+    deprioritized = Counter(r.tenant for r in results if r.deprioritized)
+    priced: Counter[str] = Counter()
     for result in results:
-        by_tenant.setdefault(result.tenant, []).append(result)
-
-    tenants = []
-    for tenant in sorted(by_tenant):
-        entries = by_tenant[tenant]
-        done = [r for r in entries if r.completed]
-        latencies = [r.latency_cycles for r in done]
-        queues = [r.queue_cycles for r in done]
-        eligible = [r for r in done if r.deadline_hint_cycles is not None]
-        tenants.append(
-            TenantServeStats(
-                tenant=tenant,
-                submitted=len(entries),
-                completed=len(done),
-                rejected=count(entries, STATUS_REJECTED),
-                deprioritized=sum(1 for r in entries if r.deprioritized),
-                priced_cycles=sum(r.priced_cycles for r in done),
-                budget_cycles=budgets.get(tenant),
-                latency=summarize_latencies(latencies) if latencies else None,
-                mean_queue_cycles=(
-                    sum(queues) / len(queues) if queues else None
-                ),
-                throughput_jobs_per_sec=(
-                    len(done) / simulated_seconds if simulated_seconds else 0.0
-                ),
-                deadline_misses=sum(1 for r in done if r.deadline_met is False),
-                failed=count(entries, STATUS_FAILED),
-                cancelled=count(entries, STATUS_CANCELLED),
-                expired=count(entries, STATUS_EXPIRED),
-                shed=count(entries, STATUS_SHED),
-                retries=sum(max(0, r.attempts - 1) for r in entries),
-                deadline_met=sum(1 for r in eligible if r.deadline_met),
-                deadline_eligible=len(eligible),
-                preemptions=sum(r.preemptions for r in entries),
-            )
+        if result.completed:
+            priced[result.tenant] += result.priced_cycles
+    tenants = tuple(
+        TenantServeStats(
+            tenant=tenant,
+            submitted=group.submitted,
+            completed=group.completed,
+            rejected=group.count(STATUS_REJECTED),
+            deprioritized=deprioritized[tenant],
+            priced_cycles=priced[tenant],
+            budget_cycles=budgets.get(tenant),
+            latency=group.latency,
+            mean_queue_cycles=(
+                sum(group.queue_cycles) / len(group.queue_cycles)
+                if group.queue_cycles
+                else None
+            ),
+            throughput_jobs_per_sec=rate(group.completed, simulated_seconds),
+            deadline_misses=group.deadline_eligible - group.deadline_met,
+            failed=group.count(STATUS_FAILED),
+            cancelled=group.count(STATUS_CANCELLED),
+            expired=group.count(STATUS_EXPIRED),
+            shed=group.count(STATUS_SHED),
+            retries=group.retries,
+            deadline_met=group.deadline_met,
+            deadline_eligible=group.deadline_eligible,
+            preemptions=group.preemptions,
         )
+        for tenant, group in sorted(tally(results, lambda r: r.tenant).items())
+    )
 
-    batch_sizes: dict[tuple[int, int], int] = {}
-    for result in results:
-        if result.completed and result.batch_id is not None:
-            key = (result.worker_id, result.batch_id)
-            batch_sizes[key] = batch_sizes.get(key, 0) + 1
-    occupancy: dict[int, int] = {}
-    for size in batch_sizes.values():
-        occupancy[size] = occupancy.get(size, 0) + 1
-
-    eligible_results = [
-        r for r in results if r.completed and r.deadline_hint_cycles is not None
-    ]
+    by_slo = tally(results, lambda r: r.slo)
+    slo_order = [slo for slo in SLO_CLASSES if slo in by_slo]
+    slo_order += sorted(slo for slo in by_slo if slo not in SLO_CLASSES)
+    occupancy = batch_occupancy(results)
+    run = OutcomeTally.of(results)
     return ServeReport(
-        jobs_submitted=len(results),
-        jobs_completed=sum(1 for r in results if r.completed),
-        jobs_rejected=count(results, STATUS_REJECTED),
-        jobs_failed=count(results, STATUS_FAILED),
-        jobs_cancelled=count(results, STATUS_CANCELLED),
-        jobs_expired=count(results, STATUS_EXPIRED),
-        jobs_shed=count(results, STATUS_SHED),
-        retries=sum(max(0, r.attempts - 1) for r in results),
-        deadline_met=sum(1 for r in eligible_results if r.deadline_met),
-        deadline_eligible=len(eligible_results),
+        jobs_submitted=run.submitted,
+        jobs_completed=run.completed,
+        jobs_rejected=run.count(STATUS_REJECTED),
+        jobs_failed=run.count(STATUS_FAILED),
+        jobs_cancelled=run.count(STATUS_CANCELLED),
+        jobs_expired=run.count(STATUS_EXPIRED),
+        jobs_shed=run.count(STATUS_SHED),
+        retries=run.retries,
+        deadline_met=run.deadline_met,
+        deadline_eligible=run.deadline_eligible,
         enforce_deadlines=enforce_deadlines,
         max_retries=max_retries,
         ordering=ordering,
         max_preemptions=max_preemptions,
-        preemptions=sum(r.preemptions for r in results),
-        slo_class_stats=_compile_slo_stats(results),
+        preemptions=run.preemptions,
+        slo_class_stats=tuple(
+            SloClassStats(
+                slo=slo,
+                submitted=by_slo[slo].submitted,
+                completed=by_slo[slo].completed,
+                deadline_met=by_slo[slo].deadline_met,
+                deadline_eligible=by_slo[slo].deadline_eligible,
+                preemptions=by_slo[slo].preemptions,
+            )
+            for slo in slo_order
+        ),
         faults=faults,
         cache_evictions=cache_evictions,
         cache_class_stats=tuple(cache_class_stats),
         cache_disk_hits=cache_disk_hits,
         cache_disk_misses=cache_disk_misses,
         cache_disk_skips=cache_disk_skips,
-        batch_occupancy=tuple(sorted(occupancy.items())),
-        batches=len(batch_sizes),
-        batched_jobs=sum(size for size in batch_sizes.values() if size > 1),
+        batch_occupancy=tuple(occupancy.items()),
+        batches=sum(occupancy.values()),
+        batched_jobs=sum(
+            size * count for size, count in occupancy.items() if size > 1
+        ),
         max_batch=max_batch,
         fleet_size=len(workers),
         makespan_cycles=makespan,
@@ -684,7 +640,7 @@ def compile_serve_report(
         wall_seconds=wall_seconds,
         cache_hits=cache_hits,
         cache_misses=cache_misses,
-        tenants=tuple(tenants),
+        tenants=tenants,
         workers=workers,
         fleet=tuple(fleet),
         batch_window_cycles=batch_window_cycles,

@@ -707,7 +707,7 @@ class TestPersistentEstimateStore:
         assert report_warm.cache_hits == denominator
         assert report_warm.cache_hit_rate == 1.0
         assert report_warm.cache_disk_hits <= report_warm.cache_hits
-        # And the serve metrics registry sees the same split.
-        counts = report_warm.metrics().to_dict()["counters"]
+        # And the serve metrics section sees the same split.
+        counts = report_warm.metrics()["counters"]
         assert counts["serve.cache.disk_hits"] == report_warm.cache_disk_hits
         assert counts["serve.cache.misses"] == 0
