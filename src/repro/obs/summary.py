@@ -1,4 +1,4 @@
-"""One fold over terminal job outcomes, and post-hoc trace analysis.
+"""One fold over job outcomes and batches, and post-hoc trace analysis.
 
 The fold — :class:`OutcomeTally`, :func:`tally`, :func:`batch_occupancy`
 and :func:`rate` — is the single reduction both the in-process
@@ -6,7 +6,9 @@ and :func:`rate` — is the single reduction both the in-process
 status, retry, preemption, deadline, latency and occupancy numbers from.
 It reads any :class:`Outcome`: ``JobResult`` satisfies the protocol as is,
 and :func:`summarize_trace` decodes terminal trace events into
-:class:`TracedOutcome`, so the two sides agree by construction.
+:class:`TracedOutcome`, so the two sides agree by construction.  Per-worker
+numbers come from :func:`worker_activity` the same way: the scheduler folds
+its batches, the summary the ``batch.execute`` spans (:func:`batch_spans`).
 
 :func:`summarize_trace` reduces the raw event stream (as loaded by
 :func:`repro.obs.export.load_trace_events`) into the views the
@@ -23,7 +25,8 @@ and :func:`summarize_trace` decodes terminal trace events into
   completed jobs, and preemption displacements;
 * **estimate-cache traffic** — ``hit`` counts disk hits too, which
   ``disk_hit`` breaks out, as in ``ServeReport``;
-* **worker activity** — batches and busy cycles per worker track.
+* **worker activity** — batches and busy cycles per worker track, from
+  :func:`worker_activity`.
 
 The per-tenant p50/p95 use :func:`repro.analysis.latency.summarize_latencies`
 — the identical percentile definition ``ServeReport`` quotes — so numbers
@@ -239,6 +242,38 @@ def batch_occupancy(outcomes: Iterable[Outcome]) -> dict[int, int]:
     return dict(sorted(Counter(sizes.values()).items()))
 
 
+@dataclass
+class WorkerTally:
+    """One worker's batches, as :func:`worker_activity` folds them.
+
+    Every dispatch counts, cut ones included; ``busy_cycles`` runs from each
+    start to where the worker stopped, ``failures`` counts fault cuts.
+    """
+
+    batches: int = 0
+    jobs: int = 0
+    busy_cycles: int = 0
+    failures: int = 0
+
+
+def worker_activity(
+    rows: Iterable[tuple[KeyT, int, int, int, bool]],
+) -> dict[KeyT, WorkerTally]:
+    """Fold ``(worker, start, end, completed, faulted)`` batch rows per worker.
+
+    >>> worker_activity([(0, 0, 124, 1, False), (0, 124, 186, 0, True)])
+    {0: WorkerTally(batches=2, jobs=1, busy_cycles=186, failures=1)}
+    """
+    tallies: dict[KeyT, WorkerTally] = {}
+    for worker, start, end, completed, faulted in rows:
+        worker_tally = tallies.setdefault(worker, WorkerTally())
+        worker_tally.batches += 1
+        worker_tally.jobs += completed
+        worker_tally.busy_cycles += end - start
+        worker_tally.failures += faulted
+    return tallies
+
+
 def _arg(event: dict[str, Any], key: str, default: Any = None) -> Any:
     args = event.get("args")
     if isinstance(args, dict):
@@ -343,16 +378,19 @@ def _cache_view(events: list[dict[str, Any]]) -> dict[str, int]:
     return counts
 
 
-def _worker_views(events: list[dict[str, Any]]) -> dict[str, dict[str, int]]:
-    workers: dict[str, dict[str, int]] = {}
-    for event in events:
-        if event.get("name") != "batch.execute" or event.get("ph") != "X":
-            continue
-        track = f"{int(event.get('pid', 0))}:{int(event.get('tid', 0))}"
-        view = workers.setdefault(track, {"batches": 0, "busy_cycles": 0})
-        view["batches"] += 1
-        view["busy_cycles"] += int(event.get("dur", 0))
-    return dict(sorted(workers.items()))
+def batch_spans(events: list[dict[str, Any]]) -> list[tuple[str, int, int, int, bool]]:
+    """The ``batch.execute`` spans as :func:`worker_activity` rows (worker = track)."""
+    return [
+        (
+            f"{int(event.get('pid', 0))}:{int(event.get('tid', 0))}",
+            int(event["ts"]),
+            int(event["ts"]) + int(event.get("dur", 0)),
+            int(_arg(event, "completed", 0)),
+            bool(_arg(event, "faulted", False)),
+        )
+        for event in events
+        if event.get("name") == "batch.execute" and event.get("ph") == "X"
+    ]
 
 
 def summarize_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
@@ -387,7 +425,10 @@ def summarize_trace(events: list[dict[str, Any]]) -> dict[str, Any]:
             for slo, group in sorted(tally(outcomes, lambda o: o.slo).items())
         },
         "cache": _cache_view(events),
-        "workers": _worker_views(events),
+        "workers": {
+            track: {"batches": worker.batches, "busy_cycles": worker.busy_cycles}
+            for track, worker in sorted(worker_activity(batch_spans(events)).items())
+        },
     }
 
 
@@ -498,10 +539,13 @@ __all__ = [
     "Outcome",
     "OutcomeTally",
     "TracedOutcome",
+    "WorkerTally",
     "batch_occupancy",
+    "batch_spans",
     "decode_outcome",
     "format_trace_summary",
     "rate",
     "summarize_trace",
     "tally",
+    "worker_activity",
 ]

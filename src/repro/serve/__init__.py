@@ -118,7 +118,6 @@ from repro.serve.fleet import (
     build_fleet,
     group_worker_classes,
     parse_fleet_spec,
-    worker_signature,
 )
 from repro.serve.job import (
     JOB_STATUSES,
@@ -213,7 +212,6 @@ __all__ = [
     "build_fleet",
     "group_worker_classes",
     "parse_fleet_spec",
-    "worker_signature",
     "CacheClassStats",
     "ServeReport",
     "SloClassStats",

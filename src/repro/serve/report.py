@@ -39,7 +39,9 @@ class WorkerStats:
 
     ``worker_class`` is the worker's configuration label
     (:meth:`repro.api._AcceleratorBase.describe`); on a homogeneous fleet
-    every worker carries the same one.
+    every worker carries the same one.  ``batches`` counts every dispatch,
+    cut batches included (unlike :attr:`ServeReport.batches`); the numbers
+    come from :func:`repro.obs.summary.worker_activity`.
 
     >>> stats = WorkerStats(worker_id=0, jobs=3, batches=2,
     ...                     busy_cycles=1200, utilization=0.75)
@@ -254,6 +256,9 @@ class ServeReport:
     the run executed under.  ``preemptions`` totals job displacements by
     preemption and ``slo_class_stats`` breaks the deadline outcome down
     per SLO class (the per-class gauges the regression gate watches).
+    ``makespan_cycles`` is the end of the last batch, a fault cut
+    included; ``batches`` counts the batches that completed at least one
+    job, while each :class:`WorkerStats` counts every dispatch.
     """
 
     jobs_submitted: int
@@ -528,6 +533,7 @@ def compile_serve_report(
     job_results: Iterable[JobResult],
     *,
     workers: Iterable[WorkerStats],
+    makespan_cycles: int,
     budgets: Mapping[str, int | None],
     max_batch: int,
     clock_hz: float,
@@ -548,13 +554,13 @@ def compile_serve_report(
     cache_disk_misses: int = 0,
     cache_disk_skips: int = 0,
 ) -> ServeReport:
-    """Fold per-job results and worker counters into a :class:`ServeReport`."""
+    """Fold per-job results and worker counters into a :class:`ServeReport`.
+
+    Throughput and utilization are taken over ``makespan_cycles``.
+    """
     results = sorted(job_results, key=lambda r: r.job_id)
     workers = tuple(sorted(workers, key=lambda w: w.worker_id))
-    makespan = max(
-        (r.finish_cycle for r in results if r.finish_cycle is not None), default=0
-    )
-    simulated_seconds = makespan / clock_hz if makespan else 0.0
+    simulated_seconds = makespan_cycles / clock_hz
 
     deprioritized = Counter(r.tenant for r in results if r.deprioritized)
     priced: Counter[str] = Counter()
@@ -635,7 +641,7 @@ def compile_serve_report(
         ),
         max_batch=max_batch,
         fleet_size=len(workers),
-        makespan_cycles=makespan,
+        makespan_cycles=makespan_cycles,
         clock_hz=clock_hz,
         wall_seconds=wall_seconds,
         cache_hits=cache_hits,
@@ -645,7 +651,7 @@ def compile_serve_report(
         fleet=tuple(fleet),
         batch_window_cycles=batch_window_cycles,
         placement=placement,
-        worker_class_stats=_compile_class_stats(results, workers, makespan),
+        worker_class_stats=_compile_class_stats(results, workers, makespan_cycles),
     )
 
 

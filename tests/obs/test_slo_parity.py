@@ -1,12 +1,14 @@
 """Trace-derived SLO view == ``ServeReport`` SLO gauges, number for number.
 
 The ``repro trace summarize`` SLO table is computed purely from exported
-trace events (:func:`repro.obs.summary._slo_views`); the report's
-:class:`repro.serve.report.SloClassStats` come from the in-process
-results.  These tests pin the two to each other — through the library on
-a deterministic preemption scenario, and end-to-end through the CLI —
-and pin the preemption trace vocabulary (``batch.cut`` on the worker
-track, ``job.preempted`` on the scheduler track) the summarize view and
+trace events (terminal events decoded by
+:func:`repro.obs.summary.decode_outcome`, folded by
+:func:`repro.obs.summary.tally`); the report's
+:class:`repro.serve.report.SloClassStats` fold the in-process results.
+These tests pin the two to each other — through the library on a
+deterministic preemption scenario, and end-to-end through the CLI — and
+pin the preemption trace vocabulary (``batch.cut`` on the worker track,
+``job.preempted`` on the scheduler track) the summarize view and
 external tooling consume.
 """
 
